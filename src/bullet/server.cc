@@ -1002,7 +1002,6 @@ std::vector<std::function<void()>> BulletServer::release_fill_locked(
 struct BulletServer::CreateCtx {
   Bytes data;         // owned request payload
   Bytes bypass;       // padded image when the arena had no room
-  Bytes inode_block;  // serialized under the lock for background writes
   std::uint32_t index = 0;
   RnodeIndex rnode = 0;
   std::uint64_t first_block = 0;
@@ -1137,26 +1136,18 @@ void BulletServer::create_async(Bytes data, int pfactor, CreateCallback done) {
     cap.object = index;
     cap.rights = rights::kAll;
     cap.check = sealer_.seal(rights::kAll, inode.random);
-    const std::uint64_t device_block = layout_.inode_device_block(index);
-    ctx->inode_block = serialize_inode_block(device_block);
     lock.unlock();
     ctx->done(cap);
     io_.submit_job(
-        [this, ctx, stored, device_block]() -> Status {
+        [this, ctx, stored]() -> Status {
           sim::BackgroundSection bg(config_.clock);
-          const Status data_st =
-              ctx->blocks == 0
-                  ? Status::success()
-                  : disk_->write_remaining(ctx->first_block, stored, 0);
-          const Status inode_st =
-              disk_->write_remaining(device_block, ctx->inode_block, 0);
-          if (!data_st.ok() || !inode_st.ok()) {
-            BULLET_LOG(warn, kLog) << "background replication incomplete";
-          }
-          return Status::success();
+          return ctx->blocks == 0
+                     ? Status::success()
+                     : disk_->write_remaining(ctx->first_block, stored, 0);
         },
-        [this, ctx](Status, const DiskOpTiming&) {
+        [this, ctx](Status data_st, const DiskOpTiming&) {
           auto relock = lock_exclusive();
+          write_inode_block_behind(ctx->index, 0, data_st);
           auto deliveries = release_fill_locked(ctx->index);
           relock.unlock();
           for (auto& deliver : deliveries) deliver();
@@ -1235,9 +1226,6 @@ void BulletServer::create_async(Bytes data, int pfactor, CreateCallback done) {
         cap.object = ctx->index;
         cap.rights = rights::kAll;
         cap.check = sealer_.seal(rights::kAll, inodes_[ctx->index].random);
-        const std::uint64_t device_block =
-            layout_.inode_device_block(ctx->index);
-        ctx->inode_block = serialize_inode_block(device_block);
         ctx->written = written;
         lock.unlock();
         obs::RequestTrace::resume(ctx->trace);
@@ -1250,22 +1238,16 @@ void BulletServer::create_async(Bytes data, int pfactor, CreateCallback done) {
         ctx->done(cap);
         // Remaining replicas complete behind the reply.
         io_.submit_job(
-            [this, ctx, stored, device_block]() -> Status {
+            [this, ctx, stored]() -> Status {
               sim::BackgroundSection bg(config_.clock);
-              const Status data_st =
-                  ctx->blocks == 0
-                      ? Status::success()
-                      : disk_->write_remaining(ctx->first_block, stored,
-                                               ctx->written);
-              const Status inode_st = disk_->write_remaining(
-                  device_block, ctx->inode_block, ctx->written);
-              if (!data_st.ok() || !inode_st.ok()) {
-                BULLET_LOG(warn, kLog) << "background replication incomplete";
-              }
-              return Status::success();
+              return ctx->blocks == 0
+                         ? Status::success()
+                         : disk_->write_remaining(ctx->first_block, stored,
+                                                  ctx->written);
             },
-            [this, ctx](Status, const DiskOpTiming&) {
+            [this, ctx](Status data_st, const DiskOpTiming&) {
               auto relock = lock_exclusive();
+              write_inode_block_behind(ctx->index, ctx->written, data_st);
               auto deliveries = release_fill_locked(ctx->index);
               relock.unlock();
               for (auto& deliver : deliveries) deliver();
@@ -1524,6 +1506,20 @@ Status BulletServer::write_inode_block_remaining(std::uint32_t index,
   return disk_->write_remaining(device_block,
                                 serialize_inode_block(device_block),
                                 already_written);
+}
+
+void BulletServer::write_inode_block_behind(std::uint32_t index,
+                                            int already_written,
+                                            const Status& data_st) {
+  // The inode block is shared with neighbouring inodes, so it is
+  // serialized and written under the exclusive lock like every other inode
+  // write: an image taken earlier could land after a neighbour's erase and
+  // bring the erased inode back on this replica.
+  sim::BackgroundSection bg(config_.clock);
+  const Status inode_st = write_inode_block_remaining(index, already_written);
+  if (!data_st.ok() || !inode_st.ok()) {
+    BULLET_LOG(warn, kLog) << "background replication incomplete";
+  }
 }
 
 void BulletServer::clear_cache_index(std::uint32_t inode_index) {

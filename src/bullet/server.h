@@ -429,6 +429,11 @@ class BulletServer final : public rpc::Service {
   // from the RAM inode table.
   Result<int> write_inode_block(std::uint32_t index, int max_replicas);
   Status write_inode_block_remaining(std::uint32_t index, int already_written);
+  // An async create's replication behind the reply, exclusive lock held:
+  // the inode block to the replicas not yet written, and a warning if
+  // that or the data write (`data_st`) failed.
+  void write_inode_block_behind(std::uint32_t index, int already_written,
+                                const Status& data_st);
   Bytes serialize_inode_block(std::uint64_t device_block) const;
 
   // Read a file's blocks from disk straight into `out`, the file's padded

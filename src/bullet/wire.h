@@ -108,8 +108,8 @@ struct ServerStats {
   std::uint64_t bg_write_failures = 0;  // lazy (post-ack) replica writes lost
   // Concurrency counters (appended in the worker-pool rework; 21 -> 25
   // u64s, same append-only discipline).
-  std::uint64_t rx_batches = 0;          // batched socket receives (recvmmsg)
-  std::uint64_t worker_wakeups = 0;      // dispatch-thread wakeups
+  std::uint64_t rx_batches = 0;          // socket receives that got data
+  std::uint64_t worker_wakeups = 0;      // client queues claimed to run
   std::uint64_t lock_wait_ns = 0;        // time spent blocked on the state lock
   std::uint64_t pinned_evict_defers = 0; // LRU victims skipped: reader pin held
   // Async-pipeline counters (appended in the disk-queue rework; 25 -> 29

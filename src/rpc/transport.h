@@ -23,8 +23,8 @@ namespace bullet::rpc {
 // pool) maintains and a service can surface through its own stats. All
 // relaxed atomics: these are monotonic tallies, not synchronization.
 struct IoCounters {
-  std::atomic<std::uint64_t> rx_batches{0};     // recvmmsg calls that got data
-  std::atomic<std::uint64_t> worker_wakeups{0}; // dispatch-thread wakeups
+  std::atomic<std::uint64_t> rx_batches{0};     // socket receives that got data
+  std::atomic<std::uint64_t> worker_wakeups{0}; // client queues claimed to run
   // Overload-control plane (see udp_transport.h): requests shed with an
   // explicit BS_PUSHBACK reply, requests shed by silent drop (clients with
   // no deadline trailer fall back to their timeout/backoff path), requests

@@ -9,7 +9,6 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <set>
@@ -26,7 +25,7 @@ namespace {
 constexpr char kLog[] = "udp";
 constexpr std::uint32_t kFragMagic = 0x424C4652;  // "BLFR"
 constexpr std::size_t kFragHeader = 4 + 8 + 2 + 2 + 4;  // magic,id,idx,cnt,len
-// Datagrams per recvmmsg/sendmmsg batch.
+// Datagrams per sendmmsg batch.
 constexpr std::size_t kIoBatch = 32;
 
 Error errno_error(const char* what) {
@@ -104,8 +103,14 @@ struct Assembly {
     return received == count;
   }
 
-  Bytes join() const {
+  // The whole message, once add() returned true. A one-fragment message
+  // is moved out, not copied a second time.
+  Bytes take() {
+    if (parts.size() == 1) return std::move(parts[0]);
+    std::size_t total = 0;
+    for (const Bytes& part : parts) total += part.size();
     Bytes out;
+    out.reserve(total);
     for (const Bytes& part : parts) append(out, part);
     return out;
   }
@@ -284,9 +289,9 @@ TrailerPeek peek_trailer(ByteSpan wire) {
 }
 
 // The encoded BS_PUSHBACK reply: status retry_later, payload = u32
-// retry-after milliseconds. Built directly on the RX thread — shedding a
-// request costs one small allocation and one sendmmsg, never a service
-// dispatch or a disk touch.
+// retry-after milliseconds. Built directly by the receiving thread —
+// shedding a request costs one small allocation and one sendmmsg, never a
+// service dispatch or a disk touch.
 Bytes make_pushback_wire(std::uint32_t retry_after_ms) {
   Reply reply = Reply::error(ErrorCode::retry_later);
   Writer w(4);
@@ -388,6 +393,7 @@ std::uint64_t ReplyCache::evictions() const {
 
 struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   int fd = -1;
+  sockaddr_in self{};  // the bound address; unpark() rings it
   UdpServerOptions options;
   ReplyCache replies{128, 8ull << 20};
   IoCounters io;
@@ -395,22 +401,27 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
   std::mutex services_mu;
   std::unordered_map<std::uint64_t, Service*> services;  // by public port
 
-  std::thread rx_thread;
+  // Every thread receives; see serve_loop().
+  std::vector<std::thread> threads;
+  // Requests that may execute at once: `workers`, or 1 in inline mode.
+  unsigned slots = 1;
   std::atomic<bool> running{false};
   std::atomic<std::uint64_t> dropped{0};
   std::atomic<std::uint64_t> duplicates{0};
-  Rng loss_rng{1};  // RX thread only
 
-  // Reassembly per (peer, message id); RX thread only.
+  // Receive-side state shared by all threads: the loss injector and the
+  // reassembly of multi-fragment messages, keyed (peer, message id).
+  std::mutex rx_mu;
+  Rng loss_rng{1};
   std::map<std::pair<std::uint64_t, std::uint64_t>, Assembly> assembling;
 
-  // Worker-pool state (workers > 0). Each client endpoint gets an ordered
-  // queue; at most one worker drains a given client at a time, so requests
-  // from one client execute in arrival order while different clients
-  // proceed in parallel. `pending_ids` suppresses re-execution of a
-  // retransmitted request that is already queued or executing (the reply
-  // cache covers the already-answered case). Client entries are never
-  // erased — one small record per distinct endpoint.
+  // Dispatch state. Each client endpoint gets an ordered queue; at most one
+  // thread runs a given client at a time, so requests from one client
+  // execute in arrival order while different clients proceed in parallel.
+  // `pending_ids` suppresses re-execution of a retransmitted request that
+  // is already queued or executing (the reply cache covers the
+  // already-answered case). Client entries are never erased — one small
+  // record per distinct endpoint.
   struct WorkItem {
     sockaddr_in from{};
     std::uint64_t message_id = 0;
@@ -421,30 +432,19 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     std::uint64_t rx_done_ns = 0;
     // Absolute steady-clock expiry (0 = no deadline), stamped at admission
     // from the request's relative budget. Checked again at dequeue so an
-    // expired request costs the worker an O(1) drop, not a dispatch.
+    // expired request costs an O(1) drop, not a dispatch.
     std::uint64_t deadline_ns = 0;
   };
   struct ClientState {
     std::deque<WorkItem> pending;
     std::set<std::uint64_t> pending_ids;
-    bool scheduled = false;  // in `ready` or owned by a worker
+    bool scheduled = false;  // in `ready` or owned by a thread
   };
   std::mutex work_mu;
-  std::condition_variable work_cv;
   std::unordered_map<std::uint64_t, ClientState> clients;
   std::deque<std::uint64_t> ready;  // clients with work, not yet owned
   std::size_t total_pending = 0;    // queued (not yet dequeued) across clients
-  bool shutdown_workers = false;
-  std::vector<std::thread> workers;
-
-  // Inline-mode (workers == 0) in-flight marks. When execution was
-  // synchronous a request was answered before handle_datagram returned, so
-  // the reply-cache probe alone sufficed for dedup; a parked continuation
-  // opens a window between dispatch and reply where a retransmit would
-  // re-execute. Keyed (peer, message id); inserted before dispatch on the
-  // RX thread, erased by finish() after the reply is cached.
-  std::mutex inline_mu;
-  std::set<std::pair<std::uint64_t, std::uint64_t>> inline_inflight;
+  unsigned executing = 0;           // threads inside run_client()
 
   ~Impl() {
     if (fd >= 0) ::close(fd);
@@ -465,7 +465,6 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     sockaddr_in from{};
     std::uint64_t peer = 0;
     std::uint64_t message_id = 0;
-    bool pooled = false;  // dispatched by a worker (vs. inline on RX)
     // The request carried a deadline trailer, i.e. the client understands
     // BS_PUSHBACK. A service-level retry_later reply to anyone else is
     // converted into a silent drop (timeout/backoff handles it).
@@ -474,40 +473,37 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     // execute()) so it survives a park; finish() destroys it on whichever
     // thread delivers the reply, publishing the spans.
     std::unique_ptr<obs::RequestTrace> trace;
-    // Handoff flag between the dispatching worker and finish(): whoever
+    // Handoff flag between the dispatching thread and finish(): whoever
     // flips it second does the queue bookkeeping, so the sync case (finish
     // ran inside handle_async) and the parked case (finish runs later from
     // a completion thread) both clean up exactly once.
     std::atomic<bool> completed{false};
   };
 
-  // Decode and dispatch. Runs on the RX thread (inline mode) or on a
-  // worker; the reply path — encode, cache, send — lives in finish(),
-  // which the service's responder invokes either synchronously inside
-  // handle_async() or later from a disk-completion thread. The returned
-  // context lets the caller detect a park (completed still false).
+  // Decode and dispatch; the reply path — encode, cache, send — lives in
+  // finish(), which the service's responder invokes either synchronously
+  // inside handle_async() or later from a disk-completion thread. The
+  // returned context lets the caller detect a park (completed still false).
   //
-  // `rx_first_ns`/`rx_done_ns`/`dequeue_ns` are trace timestamps captured
-  // by the RX thread and worker loop (all 0 when tracing is off): the rx
-  // span covers fragment reassembly, the queue span covers enqueue→worker
-  // pickup. The RequestTrace is constructed here — after decode, so it
-  // knows the opcode and the client's trace id — and becomes the thread's
-  // current trace for the dispatch; the service's own spans (lock, cache,
-  // disk) attach to it, and a service that parks carries it across the
-  // continuation via RequestTrace::suspend()/resume().
+  // `rx_first_ns`/`rx_done_ns`/`dequeue_ns` are trace timestamps (all 0
+  // when tracing is off): the rx span covers fragment reassembly, the
+  // queue span covers enqueue→dequeue. The RequestTrace is constructed here
+  // — after decode, so it knows the opcode and the client's trace id — and
+  // becomes the thread's current trace for the dispatch; the service's own
+  // spans (lock, cache, disk) attach to it, and a service that parks
+  // carries it across the continuation via RequestTrace::suspend()/resume().
   std::shared_ptr<RespondCtx> execute(const sockaddr_in& from,
                                       std::uint64_t peer,
                                       std::uint64_t message_id,
-                                      const Bytes& wire, bool pooled,
-                                      std::uint64_t rx_first_ns = 0,
-                                      std::uint64_t rx_done_ns = 0,
-                                      std::uint64_t dequeue_ns = 0) {
+                                      const Bytes& wire,
+                                      std::uint64_t rx_first_ns,
+                                      std::uint64_t rx_done_ns,
+                                      std::uint64_t dequeue_ns) {
     auto ctx = std::make_shared<RespondCtx>();
     ctx->impl = shared_from_this();
     ctx->from = from;
     ctx->peer = peer;
     ctx->message_id = message_id;
-    ctx->pooled = pooled;
     // Exempt this request from reply-cache eviction for the whole
     // execute->reply window (released in finish()): shed-driven churn must
     // not evict a reply before its first transmission, or a lost send plus
@@ -536,14 +532,17 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
       finish(ctx, Reply::error(ErrorCode::unreachable));
       return ctx;
     }
+    // Once handle_async() is called, ctx->trace belongs to whichever thread
+    // runs finish(); only this copy of the pointer is compared below.
+    const obs::RequestTrace* const trace = ctx->trace.get();
     service->handle_async(request.value(), [ctx](Reply&& reply) {
       ctx->impl->finish(ctx, std::move(reply));
     });
     // If the service parked without detaching the trace (it should suspend
     // before releasing this thread), detach it here so this thread does
-    // not carry a stale TLS pointer into the next request it dispatches.
-    if (!ctx->completed.load(std::memory_order_acquire) &&
-        obs::RequestTrace::current() == ctx->trace.get()) {
+    // not carry a stale TLS pointer into the next request it dispatches. A
+    // trace finished on this thread has already cleared the slot.
+    if (obs::RequestTrace::current() == trace) {
       (void)obs::RequestTrace::suspend();
     }
     return ctx;
@@ -596,37 +595,38 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
     // Publish the trace (destructor clears this thread's TLS slot if the
     // trace is attached here — sync dispatch or a resumed continuation).
     ctx->trace.reset();
-    if (ctx->pooled) {
-      // Second one through does the bookkeeping: if the dispatching worker
-      // already saw completed == true it continued draining the client
-      // itself; otherwise the client sat parked and is released here.
-      if (ctx->completed.exchange(true, std::memory_order_acq_rel)) {
-        unpark(*ctx);
-      }
-    } else {
-      ctx->completed.store(true, std::memory_order_release);
-      std::lock_guard<std::mutex> lock(inline_mu);
-      inline_inflight.erase({ctx->peer, ctx->message_id});
+    // Second one through does the bookkeeping: if the dispatching thread
+    // already saw completed == true it continued draining the client
+    // itself; otherwise the client sat parked and is released here.
+    if (ctx->completed.exchange(true, std::memory_order_acq_rel)) {
+      unpark(*ctx);
     }
   }
 
   // Release a client whose head-of-queue request parked: drop the request
-  // from the dedup set (its reply is cached now) and hand the client back
-  // to the pool if more work queued up behind the parked request.
+  // from the dedup set (its reply is cached now) and put the client back
+  // on the ready list if more work queued up behind the parked request.
+  // This runs on a disk-completion thread, which never runs service code
+  // itself: if an execution slot is free, the threads that could claim the
+  // client may all be asleep in the receive call, so a zero-length
+  // datagram to the server's own port wakes one of them.
   void unpark(const RespondCtx& ctx) {
-    bool notify = false;
+    bool ring = false;
     {
       std::lock_guard<std::mutex> lock(work_mu);
       ClientState& client = clients[ctx.peer];
       client.pending_ids.erase(ctx.message_id);
-      if (!client.pending.empty() && !shutdown_workers) {
+      if (!client.pending.empty() && running.load()) {
         ready.push_back(ctx.peer);
-        notify = true;
+        ring = executing < slots;
       } else {
         client.scheduled = false;
       }
     }
-    if (notify) work_cv.notify_one();
+    if (ring) {
+      (void)::sendto(fd, nullptr, 0, 0, reinterpret_cast<const sockaddr*>(&self),
+                     sizeof self);
+    }
   }
 
   // True if `message_id` from `peer` is queued or executing right now.
@@ -647,209 +647,212 @@ struct UdpServer::Impl : std::enable_shared_from_this<UdpServer::Impl> {
         std::min<std::uint64_t>(std::max<std::uint64_t>(1, scaled), 10 * unit));
   }
 
-  // Admission + enqueue; RX thread only. A request over the total or
-  // per-client queue bound is shed in O(1): a BS_PUSHBACK reply for
-  // overload-aware clients (16-byte trailer), a silent drop for the rest.
-  // Retransmits of queued/executing or already-answered requests never get
-  // here (handle_datagram's dedup probes run first), so a shed can only
-  // hit a request the server holds no state for.
+  // Dedup, admission, enqueue, then serve. A retransmit of a request that
+  // is queued or executing is dropped; one whose reply is cached is
+  // answered from the cache. Both checks run under work_mu: with several
+  // receiving threads, two unlocked probes can both miss, because the
+  // first copy may cache its reply and retire its id between them.
+  // finish() caches before the id is retired under work_mu, so one of the
+  // two checks here always sees it.
+  //
+  // A request over the total or per-client queue bound (pool mode only) is
+  // shed in O(1): a BS_PUSHBACK reply for overload-aware clients (16-byte
+  // trailer), a silent drop for the rest.
   void enqueue(const sockaddr_in& from, std::uint64_t peer,
                std::uint64_t message_id, Bytes wire,
                std::uint64_t rx_first_ns, std::uint64_t rx_done_ns,
                std::uint64_t deadline_ns, bool pushback_ok) {
-    bool shed = false;
+    std::shared_ptr<const Bytes> answered;
     std::uint32_t advise_ms = 0;
     {
-      std::lock_guard<std::mutex> lock(work_mu);
+      std::unique_lock<std::mutex> lock(work_mu);
       ClientState& client = clients[peer];
-      if (!client.pending_ids.insert(message_id).second) {
+      if (client.pending_ids.count(message_id) > 0) {
         duplicates.fetch_add(1);
         return;
       }
-      const bool over_total =
-          options.max_queue > 0 && total_pending >= options.max_queue;
-      const bool over_client = options.max_client_queue > 0 &&
-                               client.pending.size() >= options.max_client_queue;
-      if (over_total || over_client) {
-        client.pending_ids.erase(message_id);
-        shed = true;
+      answered = replies.find(peer, message_id);
+      if (answered == nullptr) {
+        const bool bounded = options.workers > 0;
+        const bool over_total = bounded && options.max_queue > 0 &&
+                                total_pending >= options.max_queue;
+        const bool over_client =
+            bounded && options.max_client_queue > 0 &&
+            client.pending.size() >= options.max_client_queue;
+        if (!over_total && !over_client) {
+          client.pending_ids.insert(message_id);
+          client.pending.push_back(WorkItem{from, message_id, std::move(wire),
+                                            rx_first_ns, rx_done_ns,
+                                            deadline_ns});
+          ++total_pending;
+          std::uint64_t depth_max =
+              io.rx_queue_depth_max.load(std::memory_order_relaxed);
+          while (depth_max < total_pending &&
+                 !io.rx_queue_depth_max.compare_exchange_weak(
+                     depth_max, total_pending, std::memory_order_relaxed)) {
+          }
+          if (!client.scheduled) {
+            client.scheduled = true;
+            ready.push_back(peer);
+          }
+          serve(lock);
+          return;
+        }
         advise_ms = retry_after_ms(total_pending);
-      } else {
-        client.pending.push_back(WorkItem{from, message_id, std::move(wire),
-                                          rx_first_ns, rx_done_ns,
-                                          deadline_ns});
-        ++total_pending;
-        std::uint64_t depth_max =
-            io.rx_queue_depth_max.load(std::memory_order_relaxed);
-        while (depth_max < total_pending &&
-               !io.rx_queue_depth_max.compare_exchange_weak(
-                   depth_max, total_pending, std::memory_order_relaxed)) {
-        }
-        if (!client.scheduled) {
-          client.scheduled = true;
-          ready.push_back(peer);
-          work_cv.notify_one();
-        }
       }
     }
-    if (shed) {
-      if (pushback_ok) {
-        io.shed_pushback.fetch_add(1, std::memory_order_relaxed);
-        const Bytes pushback = make_pushback_wire(advise_ms);
-        (void)send_message_batched(fd, from, message_id,
-                                   ByteSpan(pushback.data(), pushback.size()));
-      } else {
-        io.shed_dropped.fetch_add(1, std::memory_order_relaxed);
-      }
+    if (answered != nullptr) {
+      duplicates.fetch_add(1);
+      (void)send_message_batched(fd, from, message_id,
+                                 ByteSpan(answered->data(), answered->size()));
+    } else if (pushback_ok) {
+      io.shed_pushback.fetch_add(1, std::memory_order_relaxed);
+      const Bytes pushback = make_pushback_wire(advise_ms);
+      (void)send_message_batched(fd, from, message_id,
+                                 ByteSpan(pushback.data(), pushback.size()));
+    } else {
+      io.shed_dropped.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  void worker_loop() {
-    std::unique_lock<std::mutex> lock(work_mu);
-    for (;;) {
-      while (!shutdown_workers && ready.empty()) work_cv.wait(lock);
-      if (shutdown_workers) return;
-      io.worker_wakeups.fetch_add(1, std::memory_order_relaxed);
+  // Claim ready clients and run their queues while an execution slot is
+  // free. Called with work_mu held; returns with it held.
+  void serve(std::unique_lock<std::mutex>& lock) {
+    while (!ready.empty() && executing < slots && running.load()) {
       const std::uint64_t peer = ready.front();
       ready.pop_front();
-      ClientState& client = clients[peer];
-      bool parked = false;
-      while (!client.pending.empty()) {
-        WorkItem item = std::move(client.pending.front());
-        client.pending.pop_front();
-        if (total_pending > 0) --total_pending;
-        // Deadline check at dequeue: a request whose budget ran out while
-        // it sat queued is dead work — its client has already timed out or
-        // moved on, so drop it in O(1) instead of dispatching. No reply is
-        // sent and nothing is cached: a retransmit (with a fresh remaining
-        // budget) is admitted as a new attempt.
-        if (item.deadline_ns != 0 && obs::now_ns() > item.deadline_ns) {
-          io.deadline_expired.fetch_add(1, std::memory_order_relaxed);
-          client.pending_ids.erase(item.message_id);
-          continue;
-        }
-        lock.unlock();
-        const std::uint64_t dequeue_ns =
-            item.rx_done_ns != 0 ? obs::now_ns() : 0;
-        auto ctx = execute(item.from, peer, item.message_id, item.wire,
-                           /*pooled=*/true, item.rx_first_ns, item.rx_done_ns,
-                           dequeue_ns);
-        const bool finished =
-            ctx->completed.exchange(true, std::memory_order_acq_rel);
-        lock.lock();
-        if (!finished) {
-          // The request parked on async I/O. Leave the client owned
-          // (scheduled stays true, pending_id stays set) so later requests
-          // from this endpoint cannot overtake the deferred reply; this
-          // worker goes back to the pool and finish() releases the client
-          // once the reply is on the wire.
-          parked = true;
-          break;
-        }
-        client.pending_ids.erase(item.message_id);
-        if (shutdown_workers) return;
-      }
-      if (!parked) client.scheduled = false;
+      ++executing;
+      io.worker_wakeups.fetch_add(1, std::memory_order_relaxed);
+      run_client(lock, clients[peer], peer);
+      --executing;
     }
+  }
+
+  void run_client(std::unique_lock<std::mutex>& lock, ClientState& client,
+                  std::uint64_t peer) {
+    while (!client.pending.empty()) {
+      WorkItem item = std::move(client.pending.front());
+      client.pending.pop_front();
+      if (total_pending > 0) --total_pending;
+      // Deadline check at dequeue: a request whose budget ran out while
+      // it sat queued is dead work — its client has already timed out or
+      // moved on, so drop it in O(1) instead of dispatching. No reply is
+      // sent and nothing is cached: a retransmit (with a fresh remaining
+      // budget) is admitted as a new attempt.
+      if (item.deadline_ns != 0 && obs::now_ns() > item.deadline_ns) {
+        io.deadline_expired.fetch_add(1, std::memory_order_relaxed);
+        client.pending_ids.erase(item.message_id);
+        continue;
+      }
+      lock.unlock();
+      const std::uint64_t dequeue_ns =
+          item.rx_done_ns != 0 ? obs::now_ns() : 0;
+      auto ctx = execute(item.from, peer, item.message_id, item.wire,
+                         item.rx_first_ns, item.rx_done_ns, dequeue_ns);
+      const bool finished =
+          ctx->completed.exchange(true, std::memory_order_acq_rel);
+      lock.lock();
+      if (!finished) {
+        // The request parked on async I/O. Leave the client owned
+        // (scheduled stays true, pending_id stays set) so later requests
+        // from this endpoint cannot overtake the deferred reply; this
+        // thread moves on and finish() releases the client once the reply
+        // is on the wire.
+        return;
+      }
+      client.pending_ids.erase(item.message_id);
+      if (!running.load()) return;
+    }
+    client.scheduled = false;
   }
 
   void handle_datagram(const sockaddr_in& from, ByteSpan datagram) {
-    if (options.drop_one_in > 0 &&
-        loss_rng.next_below(options.drop_one_in) == 0) {
-      dropped.fetch_add(1);
-      return;
+    if (options.drop_one_in > 0) {
+      std::lock_guard<std::mutex> lock(rx_mu);
+      if (loss_rng.next_below(options.drop_one_in) == 0) {
+        dropped.fetch_add(1);
+        return;
+      }
     }
     auto fragment = parse_fragment(datagram);
     if (!fragment.ok()) return;
-
+    const FragmentView& f = fragment.value();
     const std::uint64_t peer = peer_key(from);
-    const std::uint64_t message_id = fragment.value().message_id;
-    const auto key = std::make_pair(peer, message_id);
+    const std::uint64_t message_id = f.message_id;
 
-    // Retransmit of something we already answered?
-    if (const auto hit = replies.find(peer, message_id); hit != nullptr) {
-      duplicates.fetch_add(1);
-      (void)send_message_batched(fd, from, message_id,
-                                 ByteSpan(hit->data(), hit->size()));
-      return;
-    }
-    // Retransmit of something queued or executing (including parked on
-    // async I/O)? The reply is on its way; answering again would
-    // double-execute.
-    if (!workers.empty()) {
+    std::uint64_t rx_first_ns = 0;
+    Bytes wire;
+    if (f.count == 1) {
+      // One datagram, one request: enqueue() does all the dedup.
+      if (obs::tracing_enabled()) rx_first_ns = obs::now_ns();
+      wire.assign(f.payload.begin(), f.payload.end());
+    } else {
+      // Probe before reassembling, so a retransmitted burst of fragments
+      // is not assembled again. Retransmit of something already answered?
+      if (const auto hit = replies.find(peer, message_id); hit != nullptr) {
+        duplicates.fetch_add(1);
+        (void)send_message_batched(fd, from, message_id,
+                                   ByteSpan(hit->data(), hit->size()));
+        return;
+      }
+      // Of something queued or executing (including parked on async I/O)?
+      // The reply is on its way; answering again would double-execute.
       if (in_flight(peer, message_id)) {
         duplicates.fetch_add(1);
         return;
       }
-    } else {
-      std::lock_guard<std::mutex> lock(inline_mu);
-      if (inline_inflight.count({peer, message_id}) > 0) {
-        duplicates.fetch_add(1);
-        return;
+      const auto key = std::make_pair(peer, message_id);
+      std::lock_guard<std::mutex> lock(rx_mu);
+      Assembly& assembly = assembling[key];
+      if (assembly.count == 0 && obs::tracing_enabled()) {
+        assembly.first_ns = obs::now_ns();
       }
+      if (!assembly.add(f)) return;
+      rx_first_ns = assembly.first_ns;
+      wire = assembly.take();
+      assembling.erase(key);
     }
-
-    Assembly& assembly = assembling[key];
-    if (assembly.count == 0 && obs::tracing_enabled()) {
-      assembly.first_ns = obs::now_ns();
-    }
-    if (!assembly.add(fragment.value())) return;
-    const std::uint64_t rx_first_ns = assembly.first_ns;
     const std::uint64_t rx_done_ns = rx_first_ns != 0 ? obs::now_ns() : 0;
-    Bytes wire = assembly.join();
-    assembling.erase(key);
-
-    if (workers.empty()) {
-      // Inline mode executes immediately — there is no queue to bound and
-      // no queueing delay to expire, so admission control does not apply.
-      {
-        std::lock_guard<std::mutex> lock(inline_mu);
-        inline_inflight.insert({peer, message_id});
-      }
-      (void)execute(from, peer, message_id, wire, /*pooled=*/false,
-                    rx_first_ns, rx_done_ns);
-    } else {
-      const TrailerPeek peek = peek_trailer(ByteSpan(wire));
-      const std::uint64_t deadline_ns =
-          peek.deadline_us != 0 ? obs::now_ns() + peek.deadline_us * 1000
-                                : 0;
-      enqueue(from, peer, message_id, std::move(wire), rx_first_ns,
-              rx_done_ns, deadline_ns, peek.deadline_capable);
-    }
+    const TrailerPeek peek = peek_trailer(ByteSpan(wire));
+    const std::uint64_t deadline_ns =
+        peek.deadline_us != 0 ? obs::now_ns() + peek.deadline_us * 1000 : 0;
+    enqueue(from, peer, message_id, std::move(wire), rx_first_ns, rx_done_ns,
+            deadline_ns, peek.deadline_capable);
   }
 
-  void rx_loop() {
-    std::vector<std::vector<std::uint8_t>> buffers(
-        kIoBatch,
-        std::vector<std::uint8_t>(kFragmentPayload + kFragHeader + 64));
-    std::vector<sockaddr_in> addrs(kIoBatch);
-    std::vector<iovec> iovs(kIoBatch);
-    std::vector<mmsghdr> msgs(kIoBatch);
+  // The body of every server thread: receive one datagram, and if it
+  // completes a request, admit it and run it here (serve()). A thread
+  // that finishes a client drains `ready` before it receives again. With
+  // `slots` = workers and workers + 1 threads, at most `workers` requests
+  // execute at once and one thread is always receiving, so overload is
+  // shed on arrival. One datagram per call: a thread that took a batch
+  // would run several clients' requests back to back while its peers
+  // slept. A zero-length datagram is unpark()'s doorbell: nothing to
+  // parse, just serve. A receive timeout serves too, so a lost doorbell
+  // delays a released client by one timeout at most.
+  void serve_loop() {
+    std::vector<std::uint8_t> buffer(kFragmentPayload + kFragHeader + 64);
     while (running.load()) {
-      for (std::size_t i = 0; i < kIoBatch; ++i) {
-        iovs[i] = {buffers[i].data(), buffers[i].size()};
-        msgs[i] = mmsghdr{};
-        msgs[i].msg_hdr.msg_name = &addrs[i];
-        msgs[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
-        msgs[i].msg_hdr.msg_iov = &iovs[i];
-        msgs[i].msg_hdr.msg_iovlen = 1;
-      }
-      // MSG_WAITFORONE: block (up to SO_RCVTIMEO) for the first datagram,
-      // then drain whatever else is already queued — bursts of fragments
-      // arrive as one batch, one syscall.
-      const int n =
-          ::recvmmsg(fd, msgs.data(), kIoBatch, MSG_WAITFORONE, nullptr);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-          continue;  // timeout: re-check running
-        }
-        BULLET_LOG(warn, kLog) << "recvmmsg: " << std::strerror(errno);
+      sockaddr_in from{};
+      iovec iov{buffer.data(), buffer.size()};
+      mmsghdr msg{};
+      msg.msg_hdr.msg_name = &from;
+      msg.msg_hdr.msg_namelen = sizeof from;
+      msg.msg_hdr.msg_iov = &iov;
+      msg.msg_hdr.msg_iovlen = 1;
+      // recvmmsg with one slot rather than recvfrom: ThreadSanitizer models
+      // a socket send → recvmmsg as synchronization, recvfrom not.
+      const int n = ::recvmmsg(fd, &msg, 1, 0, nullptr);
+      if (n == 1 && msg.msg_len > 0) {
+        io.rx_batches.fetch_add(1, std::memory_order_relaxed);
+        handle_datagram(from, ByteSpan(buffer.data(), msg.msg_len));
         continue;
       }
-      if (n > 0) io.rx_batches.fetch_add(1, std::memory_order_relaxed);
-      for (int i = 0; i < n; ++i) {
-        handle_datagram(addrs[i], ByteSpan(buffers[i].data(), msgs[i].msg_len));
+      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+        BULLET_LOG(warn, kLog) << "recvmmsg: " << std::strerror(errno);
       }
+      std::unique_lock<std::mutex> lock(work_mu);
+      serve(lock);
     }
   }
 };
@@ -865,12 +868,14 @@ Result<std::unique_ptr<UdpServer>> UdpServer::start(UdpServerOptions options) {
   BULLET_ASSIGN_OR_RETURN(impl->fd,
                           make_socket(options.udp_port, /*timeout_ms=*/50));
   const std::uint16_t port = bound_port(impl->fd);
+  impl->self = loopback(port);
+  impl->slots = std::max(1u, options.workers);
   impl->running.store(true);
-  impl->workers.reserve(options.workers);
-  for (unsigned i = 0; i < options.workers; ++i) {
-    impl->workers.emplace_back([raw = impl.get()] { raw->worker_loop(); });
+  const unsigned threads = options.workers == 0 ? 1 : options.workers + 1;
+  impl->threads.reserve(threads);
+  for (unsigned i = 0; i < threads; ++i) {
+    impl->threads.emplace_back([raw = impl.get()] { raw->serve_loop(); });
   }
-  impl->rx_thread = std::thread([raw = impl.get()] { raw->rx_loop(); });
   auto server = std::unique_ptr<UdpServer>(new UdpServer(std::move(impl)));
   server->udp_port_ = port;
   return server;
@@ -880,13 +885,7 @@ UdpServer::~UdpServer() { stop(); }
 
 void UdpServer::stop() {
   if (impl_ && impl_->running.exchange(false)) {
-    impl_->rx_thread.join();
-    {
-      std::lock_guard<std::mutex> lock(impl_->work_mu);
-      impl_->shutdown_workers = true;
-    }
-    impl_->work_cv.notify_all();
-    for (std::thread& worker : impl_->workers) worker.join();
+    for (std::thread& thread : impl_->threads) thread.join();
   }
 }
 
@@ -922,16 +921,25 @@ struct UdpTransport::Impl {
   UdpClientOptions options;
   sockaddr_in server{};
   std::uint64_t next_message_id = 1;
+  int recv_timeout_ms = 0;  // SO_RCVTIMEO now set on fd (0 = none)
+  std::vector<std::uint8_t> buffer =
+      std::vector<std::uint8_t>(kFragmentPayload + kFragHeader + 64);
 
   ~Impl() {
     if (fd >= 0) ::close(fd);
+  }
+
+  Status set_timeout(int timeout_ms) {
+    if (timeout_ms == recv_timeout_ms) return Status::success();
+    BULLET_RETURN_IF_ERROR(set_recv_timeout(fd, timeout_ms));
+    recv_timeout_ms = timeout_ms;
+    return Status::success();
   }
 
   // Wait for a complete reply to `message_id`; nullopt on timeout.
   Result<Bytes> await_reply(std::uint64_t message_id, bool* timed_out) {
     *timed_out = false;
     Assembly assembly;
-    std::vector<std::uint8_t> buffer(kFragmentPayload + kFragHeader + 64);
     for (;;) {
       const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), 0);
       if (n < 0) {
@@ -946,7 +954,7 @@ struct UdpTransport::Impl {
           ByteSpan(buffer.data(), static_cast<std::size_t>(n)));
       if (!fragment.ok()) continue;
       if (fragment.value().message_id != message_id) continue;  // stale
-      if (assembly.add(fragment.value())) return assembly.join();
+      if (assembly.add(fragment.value())) return assembly.take();
     }
   }
 };
@@ -965,6 +973,7 @@ Result<std::unique_ptr<UdpTransport>> UdpTransport::connect(
   impl->options = options;
   impl->server = loopback(options.server_udp_port);
   BULLET_ASSIGN_OR_RETURN(impl->fd, make_socket(0, options.timeout_ms));
+  impl->recv_timeout_ms = std::max(0, options.timeout_ms);
   return std::unique_ptr<UdpTransport>(new UdpTransport(std::move(impl)));
 }
 
@@ -1017,7 +1026,7 @@ Result<Reply> UdpTransport::call(const Request& request) {
       timeout_ms = static_cast<int>(std::min<std::int64_t>(
           timeout_ms, std::max<std::int64_t>(1, remaining_us / 1000)));
     }
-    BULLET_RETURN_IF_ERROR(set_recv_timeout(impl_->fd, timeout_ms));
+    BULLET_RETURN_IF_ERROR(impl_->set_timeout(timeout_ms));
     BULLET_RETURN_IF_ERROR(
         send_message(impl_->fd, impl_->server, message_id, wire));
     bool timed_out = false;

@@ -13,28 +13,35 @@
 //    cache instead of re-executing — at-most-once execution;
 //  * optional deterministic packet-loss injection for tests.
 //
-// Threading: one receive thread drains the socket in recvmmsg batches and
-// reassembles fragments. With `workers == 0` (the default) it also executes
-// requests inline — the legacy single-threaded mode, where registered
-// services are called from exactly one thread. With `workers > 0` complete
-// requests are handed to a pool of dispatch threads through per-client
-// ordered queues: requests from one client endpoint execute one at a time
-// in arrival order (preserving the retransmit/dedup semantics), while
-// requests from different clients execute concurrently — services must be
-// thread-safe in this mode. Replies are sent with sendmmsg, two iovecs per
-// fragment (header + payload slice), so the payload is never copied into
-// per-fragment buffers.
+// Threading: every server thread blocks in the receive call on the one
+// socket, and the kernel wakes one of them per datagram. The thread that
+// completes a request's reassembly admits it (dedup, queue bounds) onto
+// its client's ordered queue and, if an execution slot is free, claims
+// that queue and runs it itself — no handoff to another thread. Requests
+// from one client endpoint execute one at a time in arrival order
+// (preserving the retransmit/dedup semantics). With `workers == 0` (the
+// default) one thread receives and executes — the legacy single-threaded
+// mode, where registered services are called from exactly one thread.
+// With `workers = N > 0`, N + 1 threads receive and at most N execute, so
+// one thread is always receiving to shed overload; requests from
+// different clients execute concurrently — services must be thread-safe
+// in this mode. A thread that finishes a client serves the other ready
+// clients before it receives again. Replies are sent with sendmmsg, two
+// iovecs per fragment (header + payload slice), so the payload is never
+// copied into per-fragment buffers.
 //
 // Continuations: requests are dispatched through Service::handle_async().
 // A service may defer its reply (e.g. a cache-miss read that submits disk
-// I/O and resumes in the completion callback); the dispatching worker then
-// *parks* the client — it returns to the pool and serves other clients,
+// I/O and resumes in the completion callback); the dispatching thread then
+// *parks* the client — it moves on to other clients or back to receiving,
 // while the parked client's queue stays owned so no later request from the
 // same endpoint can overtake the deferred reply. When the reply arrives it
 // is encoded, cached for retransmit suppression, and sent from the
 // completing thread, and only then is the client released back to the
 // ready list — per-client ordering and at-most-once execution hold exactly
-// as in the synchronous path.
+// as in the synchronous path. The completing thread never runs service
+// code: if no server thread is awake to claim the released client, it
+// sends a zero-length "doorbell" datagram to the server's own port.
 #pragma once
 
 #include <atomic>
@@ -119,9 +126,9 @@ struct UdpServerOptions {
   // Replies remembered for retransmit suppression, bounded both ways.
   std::size_t reply_cache_entries = 128;
   std::uint64_t reply_cache_bytes = 8ull << 20;
-  // Dispatch threads. 0 = execute requests inline on the receive thread
-  // (single-threaded services); N > 0 = concurrent execution, services
-  // must be thread-safe.
+  // Requests executed at once. 0 = one thread receives and executes
+  // (single-threaded services); N > 0 = N + 1 receiving threads, at most N
+  // executing concurrently; services must be thread-safe.
   unsigned workers = 0;
   // Admission control (worker-pool mode only; inline mode has no queue to
   // bound). A request that arrives when `max_queue` requests are already
@@ -140,8 +147,8 @@ struct UdpServerOptions {
 
 class UdpServer {
  public:
-  // Binds 127.0.0.1:<udp_port> and starts the receive thread plus
-  // `options.workers` dispatch threads.
+  // Binds 127.0.0.1:<udp_port> and starts its threads: one, or
+  // `options.workers` + 1.
   static Result<std::unique_ptr<UdpServer>> start(UdpServerOptions options);
 
   ~UdpServer();
